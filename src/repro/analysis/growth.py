@@ -74,6 +74,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.theory import doubling_cil_step_bound, predicted_attribution
+from repro.codec import check_envelope, read_json
 from repro.errors import ConfigurationError
 from repro.runtime.rng import derive_seed
 
@@ -513,23 +514,8 @@ def write_growth_json(
 
 def load_growth_json(path: Union[str, Path]) -> Dict[str, Any]:
     """Load a report, rejecting foreign schema versions."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as error:
-        raise ConfigurationError(
-            f"growth file {str(path)!r} cannot be read: {error}"
-        ) from error
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(
-            f"growth file {str(path)!r} is not valid JSON: {error}"
-        ) from error
-    if not isinstance(data, dict) or data.get("v") != GROWTH_SCHEMA_VERSION:
-        version = data.get("v") if isinstance(data, dict) else None
-        raise ConfigurationError(
-            f"unsupported growth schema version {version!r} in "
-            f"{str(path)!r}; this build reads version {GROWTH_SCHEMA_VERSION}"
-        )
-    return data
+    return check_envelope(read_json(path), "growth report",
+                          GROWTH_SCHEMA_VERSION)
 
 
 def deterministic_view(report: Dict[str, Any]) -> Dict[str, Any]:

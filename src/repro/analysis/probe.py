@@ -30,6 +30,7 @@ from repro.analysis.tables import render_table
 from repro.core.conciliator import Conciliator
 from repro.core.sifting_conciliator import SiftingConciliator
 from repro.core.snapshot_conciliator import SnapshotConciliator
+from repro.codec import check_envelope
 from repro.errors import ConfigurationError
 from repro.memory.semantics import REGISTER_MODEL_KINDS, RegisterModel
 from repro.runtime.adaptive import ADAPTIVE_FAMILIES, AdaptiveSpec
@@ -106,15 +107,7 @@ class ProbeReport:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "ProbeReport":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"probe report JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported probe report version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        check_envelope(data, "probe report", cls._JSON_VERSION, key="version")
         return cls(
             seed=int(data["seed"]),
             n=int(data["n"]),

@@ -1085,12 +1085,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.fuzz.explain import explain_case
     from repro.obs.events import write_trace_jsonl
 
-    case_path = Path(args.case)
-    if not case_path.is_file():
-        print(f"error: corpus case {case_path} cannot be read",
-              file=sys.stderr)
-        return 2
-    case = load_case(case_path)
+    case = load_case(Path(args.case))
     explanation = explain_case(case, wall_clock_seconds=60.0)
     if args.out is not None:
         path = explanation.write(args.out)
@@ -1116,10 +1111,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         from repro.fuzz.explain import explain_case
 
         case_path = Path(args.case)
-        if not case_path.is_file():
-            print(f"error: corpus case {case_path} cannot be read",
-                  file=sys.stderr)
-            return 2
         explanation = explain_case(
             load_case(case_path), wall_clock_seconds=60.0
         )

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.codec import check_envelope, read_json
 from repro.errors import ConfigurationError
 from repro.fuzz.scenario import Scenario, ScenarioOutcome, run_scenario
 
@@ -68,19 +69,8 @@ class CorpusCase:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "CorpusCase":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"corpus case JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != CORPUS_VERSION:
-            raise ConfigurationError(
-                f"unsupported corpus case version {data.get('version')!r}; "
-                f"this build reads version {CORPUS_VERSION}"
-            )
-        if data.get("kind") != _CASE_KIND:
-            raise ConfigurationError(
-                f"not a corpus case: kind={data.get('kind')!r}"
-            )
+        check_envelope(data, "corpus case", CORPUS_VERSION, key="version",
+                       kind=_CASE_KIND)
         return cls(
             scenario=Scenario.from_json(data["scenario"]),
             oracles=tuple(str(name) for name in data.get("oracles", ())),
@@ -127,11 +117,7 @@ def save_case(case: CorpusCase, corpus_dir: Path) -> Path:
 
 def load_case(path: Path) -> CorpusCase:
     """Parse one corpus file (unknown versions are rejected)."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(f"corpus file {path} is not JSON: {error}")
-    return CorpusCase.from_json(data)
+    return CorpusCase.from_json(read_json(path))
 
 
 def load_corpus(corpus_dir: Path) -> List[Tuple[Path, CorpusCase]]:

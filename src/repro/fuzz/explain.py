@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.theory import predicted_attribution
 from repro.core.cil_embedded import INNER_EPSILON
-from repro.errors import ConfigurationError
+from repro.codec import check_envelope
 from repro.fuzz.corpus import CorpusCase
 from repro.fuzz.scenario import Scenario, run_scenario
 from repro.obs.analyze import (
@@ -121,19 +121,8 @@ class CaseExplanation:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "CaseExplanation":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"explanation must be a JSON object, got {type(data).__name__}"
-            )
-        if data.get("v") != EXPLAIN_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported explanation version {data.get('v')!r}; this "
-                f"build reads version {EXPLAIN_SCHEMA_VERSION}"
-            )
-        if data.get("kind") != _EXPLANATION_KIND:
-            raise ConfigurationError(
-                f"not a case explanation: kind={data.get('kind')!r}"
-            )
+        check_envelope(data, "case explanation", EXPLAIN_SCHEMA_VERSION,
+                       kind=_EXPLANATION_KIND)
         disagreement = data.get("disagreement")
         attribution = data.get("attribution")
         return cls(

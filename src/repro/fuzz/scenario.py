@@ -41,6 +41,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.codec import check_envelope
 from repro.errors import (
     BudgetExceededError,
     ConfigurationError,
@@ -214,15 +215,7 @@ class Scenario:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"scenario JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported scenario version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        check_envelope(data, "scenario", cls._JSON_VERSION, key="version")
         schedule = data.get("schedule")
         adaptive = data.get("adaptive")
         adversary = data.get("adversary")
@@ -369,15 +362,7 @@ class FuzzConfig:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "FuzzConfig":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fuzz config JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported fuzz config version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        check_envelope(data, "fuzz config", cls._JSON_VERSION, key="version")
         register_model = data.get("register_model")
         adversary = data.get("adversary")
         return cls(

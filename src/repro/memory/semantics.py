@@ -43,6 +43,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set
 
+from repro.codec import check_envelope
 from repro.errors import ConfigurationError
 from repro.runtime.faults import StepHook
 from repro.runtime.operations import Operation
@@ -137,16 +138,7 @@ class RegisterModel:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "RegisterModel":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"register model JSON must be an object, "
-                f"got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported register model version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        check_envelope(data, "register model", cls._JSON_VERSION, key="version")
         return cls(
             kind=str(data["kind"]),
             seed=int(data.get("seed", 0)),

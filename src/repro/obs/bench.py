@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.codec import check_envelope, read_json
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsHook, MetricsRegistry, merge_snapshots
 from repro.runtime.operations import Read, Write
@@ -597,23 +598,8 @@ def write_bench_json(
 
 def load_bench_json(path: Union[str, Path]) -> Dict[str, Any]:
     """Load a report, rejecting foreign schema versions."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as error:
-        raise ConfigurationError(
-            f"bench file {str(path)!r} cannot be read: {error}"
-        ) from error
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(
-            f"bench file {str(path)!r} is not valid JSON: {error}"
-        ) from error
-    if not isinstance(data, dict) or data.get("v") != BENCH_SCHEMA_VERSION:
-        version = data.get("v") if isinstance(data, dict) else None
-        raise ConfigurationError(
-            f"unsupported bench schema version {version!r} in "
-            f"{str(path)!r}; this build reads version {BENCH_SCHEMA_VERSION}"
-        )
-    return data
+    return check_envelope(read_json(path), "bench report",
+                          BENCH_SCHEMA_VERSION)
 
 
 # ----- comparison ------------------------------------------------------------

@@ -17,11 +17,11 @@ from a different schema generation is worse than refusing it.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Union
 
+from repro.codec import check_envelope, decode_json, iter_jsonl
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -114,16 +114,10 @@ def event_from_json(data: Dict[str, Any]) -> TraceEventRecord:
     Raises :class:`~repro.errors.ConfigurationError` for non-objects,
     missing/foreign versions, and unknown kinds.
     """
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"trace event must be a JSON object, got {type(data).__name__}"
-        )
-    version = data.get("v")
-    if version != TRACE_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported trace event version {version!r}; this build "
-            f"reads version {TRACE_SCHEMA_VERSION}"
-        )
+    return _event(check_envelope(data, "trace event", TRACE_SCHEMA_VERSION))
+
+
+def _event(data: Dict[str, Any]) -> TraceEventRecord:
     return TraceEventRecord(
         kind=str(data.get("kind", "")),
         step=data.get("step"),
@@ -140,13 +134,7 @@ def dumps_event(event: TraceEventRecord) -> str:
 
 def loads_event(line: str) -> TraceEventRecord:
     """Parse one JSONL line back into an event."""
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(
-            f"trace line is not valid JSON: {error}"
-        ) from error
-    return event_from_json(data)
+    return event_from_json(decode_json(line, "trace line"))
 
 
 def write_trace_jsonl(
@@ -175,32 +163,11 @@ def iter_trace_jsonl(path: Union[str, Path]) -> Iterator[TraceEventRecord]:
     it with a warning instead of crashing mid-triage.  An unparseable
     line with durable lines after it is corruption, not tearing, and
     raises; so does any parseable line with a foreign schema version,
-    even at the tail (a version mismatch is never a partial write).
+    even at the tail (a version mismatch is never a partial write).  A
+    missing file is an empty trace (see :func:`repro.codec.iter_jsonl`).
     """
-    pending: Optional[Tuple[int, str]] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if pending is not None:
-                raise ConfigurationError(
-                    f"trace {str(path)!r} line {pending[0]} is unreadable "
-                    f"but later lines exist: {pending[1]}"
-                )
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as error:
-                pending = (line_number, str(error))
-                continue
-            yield event_from_json(data)
-    if pending is not None:
-        warnings.warn(
-            f"trace {str(path)!r} ends with a torn line "
-            f"(line {pending[0]}); dropping it: {pending[1]}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    for data in iter_jsonl(path, "trace event", TRACE_SCHEMA_VERSION):
+        yield _event(data)
 
 
 __all__ += ["OPERATION_EVENT_KINDS", "dumps_event", "iter_trace_jsonl",

@@ -41,6 +41,7 @@ from typing import (
     Union,
 )
 
+from repro.codec import check_envelope
 from repro.errors import ConfigurationError
 from repro.runtime.faults import StepHook
 from repro.runtime.operations import Operation
@@ -271,16 +272,7 @@ class MetricsRegistry:
         cls, data: Dict[str, Any], *, max_samples: int = DEFAULT_MAX_SAMPLES
     ) -> "MetricsRegistry":
         """Rebuild a registry from a snapshot, rejecting foreign versions."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"metrics snapshot must be a JSON object, "
-                f"got {type(data).__name__}"
-            )
-        if data.get("v") != METRICS_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported metrics snapshot version {data.get('v')!r}; "
-                f"this build reads version {METRICS_SCHEMA_VERSION}"
-            )
+        check_envelope(data, "metrics snapshot", METRICS_SCHEMA_VERSION)
         registry = cls(max_samples=max_samples)
         for key, value in data.get("counters", {}).items():
             registry._counters[key] = Counter(value)

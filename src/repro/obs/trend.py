@@ -20,11 +20,11 @@ the tie-breaker).
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.codec import iter_jsonl
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -85,46 +85,11 @@ def load_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
     A missing file is an empty history.  An unparseable *final* line is a
     torn append — tolerated with a warning.  An unparseable line with
     durable entries after it, or any parseable line with a foreign
-    version, raises :class:`~repro.errors.ConfigurationError`.
+    version or kind, raises :class:`~repro.errors.ConfigurationError`
+    (see :func:`repro.codec.iter_jsonl`).
     """
-    path = Path(path)
-    if not path.exists():
-        return []
-    entries: List[Dict[str, Any]] = []
-    pending_error: Optional[Tuple[int, str]] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if pending_error is not None:
-                raise ConfigurationError(
-                    f"bench history {str(path)!r} line {pending_error[0]} "
-                    f"is unreadable but later entries exist: "
-                    f"{pending_error[1]}"
-                )
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as error:
-                pending_error = (line_number, str(error))
-                continue
-            if not isinstance(entry, dict) \
-                    or entry.get("v") != TREND_SCHEMA_VERSION:
-                version = entry.get("v") if isinstance(entry, dict) else None
-                raise ConfigurationError(
-                    f"unsupported bench history version {version!r} at "
-                    f"{str(path)!r} line {line_number}; this build reads "
-                    f"version {TREND_SCHEMA_VERSION}"
-                )
-            entries.append(entry)
-    if pending_error is not None:
-        warnings.warn(
-            f"bench history {str(path)!r} ends with a torn line "
-            f"(line {pending_error[0]}); dropping it: {pending_error[1]}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return entries
+    return list(iter_jsonl(path, "bench history entry", TREND_SCHEMA_VERSION,
+                           kind=_ENTRY_KIND))
 
 
 @dataclass(frozen=True)

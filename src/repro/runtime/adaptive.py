@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set
 
+from repro.codec import check_envelope
 from repro.errors import (
     ConfigurationError,
     ScheduleExhaustedError,
@@ -285,15 +286,7 @@ class AdaptiveSpec:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "AdaptiveSpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"adaptive spec JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported adaptive spec version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        check_envelope(data, "adaptive spec", cls._JSON_VERSION, key="version")
         return cls(name=str(data["name"]), seed=int(data.get("seed", 0)))
 
 

@@ -35,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.codec import check_envelope
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.adaptive import (
     ADAPTIVE_FAMILIES,
@@ -307,16 +308,7 @@ class AdversarySpec:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "AdversarySpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"adversary spec JSON must be an object, "
-                f"got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported adversary spec version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        check_envelope(data, "adversary spec", cls._JSON_VERSION, key="version")
         return cls(
             kind=str(data["kind"]),
             inner=str(data.get("inner", "sift-killer")),

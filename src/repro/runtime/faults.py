@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.codec import check_envelope
 from repro.errors import ConfigurationError
 from repro.runtime.operations import Operation, Read, Write
 
@@ -337,15 +338,7 @@ class FaultPlan:
         own validation, so a hand-edited corpus case cannot smuggle in an
         out-of-model fault without the explicit opt-in flag.
         """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fault plan JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported fault plan version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        check_envelope(data, "fault plan", cls._JSON_VERSION, key="version")
         return cls(
             crashes=tuple(
                 CrashFault(pid=int(entry["pid"]),
@@ -621,17 +614,7 @@ class ServiceFaultPlan:
     def from_json(cls, data: Dict[str, Any]) -> "ServiceFaultPlan":
         """Rebuild a plan from :meth:`to_json` output, rejecting foreign
         versions; every fault re-runs its own validation."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"service fault plan JSON must be an object, "
-                f"got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported service fault plan version "
-                f"{data.get('version')!r}; this build reads version "
-                f"{cls._JSON_VERSION}"
-            )
+        check_envelope(data, "service fault plan", cls._JSON_VERSION, key="version")
         return cls(
             worker_kills=tuple(
                 WorkerKillFault(

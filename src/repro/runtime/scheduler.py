@@ -41,8 +41,8 @@ import itertools
 import random
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from repro.codec import check_envelope
 from repro.errors import ConfigurationError
-from repro.runtime.rng import SeedTree
 
 __all__ = [
     "Schedule",
@@ -133,19 +133,8 @@ class ExplicitSchedule(Schedule):
         :class:`~repro.errors.ConfigurationError` so a future format change
         cannot be silently misread as today's.
         """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"explicit schedule JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported explicit schedule version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
-        if data.get("kind") != "explicit":
-            raise ConfigurationError(
-                f"expected kind 'explicit', got {data.get('kind')!r}"
-            )
+        check_envelope(data, "explicit schedule", cls._JSON_VERSION,
+                       key="version", kind="explicit")
         return cls(list(data["slots"]), n=int(data["n"]))
 
 
@@ -350,28 +339,3 @@ class LimitedSchedule(Schedule):
 
 
 __all__.append("LimitedSchedule")
-
-
-def standard_gallery(n: int, seeds: SeedTree) -> Dict[str, Schedule]:
-    """The named family of adversaries used across tests and benchmarks.
-
-    Returns a dict mapping a human-readable adversary name to a schedule for
-    ``n`` processes.  All randomized members draw their seeds from disjoint
-    branches of ``seeds``.
-    """
-    gallery: Dict[str, Schedule] = {
-        "round-robin": RoundRobinSchedule(n),
-        "reversed": ReversedRoundRobinSchedule(n),
-        "random": RandomSchedule(n, seeds.child("random").seed),
-        "blocks-4": BlockSchedule(n, 4, seeds.child("blocks-4").seed),
-        "front-runner": FrontRunnerSchedule(n),
-    }
-    if n > 1:
-        half = {pid: 1 for pid in range(n // 2)}
-        gallery["crash-half"] = CrashSchedule(
-            RandomSchedule(n, seeds.child("crash-half").seed), half
-        )
-    return gallery
-
-
-__all__.append("standard_gallery")

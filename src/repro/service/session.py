@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.codec import check_envelope
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -112,17 +113,7 @@ class SessionRequest:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "SessionRequest":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"session request JSON must be an object, "
-                f"got {type(data).__name__}"
-            )
-        if data.get("version") != _REQUEST_VERSION:
-            raise ConfigurationError(
-                f"unsupported session request version "
-                f"{data.get('version')!r}; this build reads version "
-                f"{_REQUEST_VERSION}"
-            )
+        check_envelope(data, "session request", _REQUEST_VERSION, key="version")
         return cls(
             session_id=int(data["session_id"]),
             algorithm=str(data.get("algorithm", "sifting")),
@@ -205,17 +196,7 @@ class SessionResponse:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "SessionResponse":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"session response JSON must be an object, "
-                f"got {type(data).__name__}"
-            )
-        if data.get("version") != _REQUEST_VERSION:
-            raise ConfigurationError(
-                f"unsupported session response version "
-                f"{data.get('version')!r}; this build reads version "
-                f"{_REQUEST_VERSION}"
-            )
+        check_envelope(data, "session response", _REQUEST_VERSION, key="version")
         return cls(
             session_id=int(data["session_id"]),
             status=str(data["status"]),

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.codec import check_envelope, iter_jsonl, read_json
 from repro.errors import ConfigurationError
 from repro.service.loadgen import LoadtestResult
 from repro.service.session import (
@@ -252,15 +252,8 @@ def write_report(report: Dict[str, Any], path: str) -> None:
 
 def load_report(path: str) -> Dict[str, Any]:
     """Read a report back, refusing foreign schema versions."""
-    with open(path, "r", encoding="utf-8") as handle:
-        report = json.load(handle)
-    if not isinstance(report, dict) or report.get("v") != SLO_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported SLO report version "
-            f"{report.get('v') if isinstance(report, dict) else report!r}; "
-            f"this build reads version {SLO_SCHEMA_VERSION}"
-        )
-    return report
+    return check_envelope(read_json(path), "SLO report",
+                          SLO_SCHEMA_VERSION)
 
 
 def render_report(report: Dict[str, Any]) -> str:
@@ -402,50 +395,8 @@ def load_slo_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
     parseable line with a foreign version or kind, raises
     :class:`~repro.errors.ConfigurationError`.
     """
-    path = Path(path)
-    if not path.exists():
-        return []
-    entries: List[Dict[str, Any]] = []
-    pending_error: Optional[Tuple[int, str]] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if pending_error is not None:
-                raise ConfigurationError(
-                    f"SLO history {str(path)!r} line {pending_error[0]} "
-                    f"is unreadable but later entries exist: "
-                    f"{pending_error[1]}"
-                )
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as error:
-                pending_error = (line_number, str(error))
-                continue
-            if not isinstance(entry, dict) \
-                    or entry.get("v") != SLO_SCHEMA_VERSION:
-                version = entry.get("v") if isinstance(entry, dict) else None
-                raise ConfigurationError(
-                    f"unsupported SLO history version {version!r} at "
-                    f"{str(path)!r} line {line_number}; this build reads "
-                    f"version {SLO_SCHEMA_VERSION}"
-                )
-            if entry.get("kind") != _HISTORY_KIND:
-                raise ConfigurationError(
-                    f"{str(path)!r} line {line_number} is not an SLO "
-                    f"history entry (kind={entry.get('kind')!r}, "
-                    f"expected {_HISTORY_KIND!r})"
-                )
-            entries.append(entry)
-    if pending_error is not None:
-        warnings.warn(
-            f"SLO history {str(path)!r} ends with a torn line "
-            f"(line {pending_error[0]}); dropping it: {pending_error[1]}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return entries
+    return list(iter_jsonl(path, "SLO history entry", SLO_SCHEMA_VERSION,
+                           kind=_HISTORY_KIND))
 
 
 @dataclass(frozen=True)

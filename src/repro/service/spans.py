@@ -17,9 +17,8 @@ span tree rooted at a ``session`` span::
 
 Spans carry virtual-time ``start``/``end`` from the serving event loop,
 so under the virtual-time loadtest every tree is a pure function of the
-seeds.  The flat ``record_calls`` audit list from PR 8 is now a *view*
-over these trees (:meth:`SpanRecorder.calls_view`), not a separate
-recording path.
+seeds.  The flat worker-call audit list is a *view* over these trees
+(:meth:`SpanRecorder.calls_view`), not a separate recording path.
 
 **The exact-decomposition contract.**  :func:`attribute_phases` folds a
 tree's leaf spans into per-phase totals (``stall``, ``queue-wait``,
@@ -50,6 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 
+from repro.codec import check_envelope, decode_json
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -206,19 +206,7 @@ def tree_to_json(root: Span) -> Dict[str, Any]:
 
 def tree_from_json(data: Any) -> Span:
     """Parse one envelope back to its root span, rejecting foreign versions."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"span tree must be a JSON object, got {type(data).__name__}"
-        )
-    if data.get("v") != SPAN_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported span tree version {data.get('v')!r}; this build "
-            f"reads version {SPAN_SCHEMA_VERSION}"
-        )
-    if data.get("kind") != _TREE_KIND:
-        raise ConfigurationError(
-            f"not a session span tree: kind={data.get('kind')!r}"
-        )
+    check_envelope(data, "span tree", SPAN_SCHEMA_VERSION, kind=_TREE_KIND)
     root = Span.from_json(data["root"])
     if root.name != "session":
         raise ConfigurationError(
@@ -294,27 +282,27 @@ def write_spans_jsonl(
 
 
 def read_spans_jsonl(path: Union[str, Path]) -> List[Span]:
-    """Read span trees back, rejecting foreign versions with a line number."""
-    path = Path(path)
+    """Read span trees back, rejecting foreign versions with a line number.
+
+    Unlike the append-only ledgers, a spans file is written whole and
+    gated by digest, so even an unreadable final line raises.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as error:
+        raise ConfigurationError(
+            f"spans file {str(path)!r} cannot be read: {error}"
+        ) from error
     roots: List[Span] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ConfigurationError(
-                    f"spans file {str(path)!r} line {line_number} is not "
-                    f"JSON: {error}"
-                ) from error
-            try:
-                roots.append(tree_from_json(data))
-            except ConfigurationError as error:
-                raise ConfigurationError(
-                    f"spans file {str(path)!r} line {line_number}: {error}"
-                ) from error
+    for line_number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"spans file {str(path)!r} line {line_number}"
+        data = decode_json(line, where)
+        try:
+            roots.append(tree_from_json(data))
+        except ConfigurationError as error:
+            raise ConfigurationError(f"{where}: {error}") from error
     return roots
 
 
@@ -365,7 +353,7 @@ class SpanRecorder:
         return None
 
     def calls_view(self) -> List[Dict[str, Any]]:
-        """The flat PR 8 ``record_calls`` audit list, derived from spans.
+        """The flat worker-call audit list, derived from spans.
 
         One entry per ``worker-call`` span, grouped by session in
         completion order then by attempt — the deadline-propagation

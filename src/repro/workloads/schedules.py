@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.codec import check_envelope
 from repro.errors import ConfigurationError
 from repro.runtime.rng import SeedTree
 from repro.runtime.scheduler import (
@@ -249,15 +250,7 @@ class ScheduleSpec:
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "ScheduleSpec":
         """Rebuild a spec from :meth:`to_json` output (versions are pinned)."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"schedule spec JSON must be an object, got {type(data).__name__}"
-            )
-        if data.get("version") != cls._JSON_VERSION:
-            raise ConfigurationError(
-                f"unsupported schedule spec version {data.get('version')!r}; "
-                f"this build reads version {cls._JSON_VERSION}"
-            )
+        check_envelope(data, "schedule spec", cls._JSON_VERSION, key="version")
         slots = data.get("slots")
         return cls(
             family=str(data["family"]),

@@ -159,6 +159,12 @@ class TestCommittedBaseline:
         with pytest.raises(ConfigurationError, match="version"):
             load_report(str(path))
 
+    def test_load_report_rejects_a_truncated_file(self, tmp_path):
+        path = tmp_path / "torn.json"
+        path.write_text(json.dumps({"v": 1, "label": "x"})[:-4])
+        with pytest.raises(ConfigurationError, match="not valid JSON"):
+            load_report(str(path))
+
 
 class TestSessionAccounting:
     def test_missing_responses_are_not_presumed_admitted(self):
@@ -445,6 +451,14 @@ class TestSpansCli:
             "slo", "waterfall", str(spans_path), "--session", "99999",
         ]) == 1
         assert "no session 99999" in capsys.readouterr().err
+
+    def test_waterfall_missing_spans_file_is_a_clean_error(self, tmp_path,
+                                                           capsys):
+        assert main([
+            "slo", "waterfall", str(tmp_path / "absent.jsonl"),
+            "--session", "0",
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestLoadtestCli:

@@ -90,8 +90,12 @@ class TestCorpusIo:
     def test_load_case_rejects_garbage(self, tmp_path):
         path = tmp_path / "case-bad.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigurationError, match="not JSON"):
+        with pytest.raises(ConfigurationError, match="not valid JSON"):
             load_case(path)
+
+    def test_load_case_rejects_a_missing_file(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot be read"):
+            load_case(tmp_path / "case-absent.json")
 
 
 class TestReplay:

@@ -67,7 +67,7 @@ class TestAppendAndLoad:
         path = tmp_path / "h.jsonl"
         path.write_text('{"nope\n', encoding="utf-8")
         append_history(report(x=10.0), path)
-        with pytest.raises(ConfigurationError, match="later entries exist"):
+        with pytest.raises(ConfigurationError, match="later lines exist"):
             load_history(path)
 
     def test_foreign_version_raises_even_at_tail(self, tmp_path):

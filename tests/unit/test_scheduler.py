@@ -18,8 +18,8 @@ from repro.runtime.scheduler import (
     ReversedRoundRobinSchedule,
     RoundRobinSchedule,
     StutterSchedule,
-    standard_gallery,
 )
+from repro.workloads.schedules import schedule_gallery
 
 
 class TestExplicitSchedule:
@@ -137,20 +137,14 @@ class TestStutterAndLimited:
 
 
 class TestGallery:
-    def test_gallery_members_cover_n(self):
-        gallery = standard_gallery(4, SeedTree(0))
-        for name, schedule in gallery.items():
-            assert schedule.n == 4, name
-            assert all(0 <= pid < 4 for pid in schedule.take(50)), name
-
     def test_gallery_includes_crash_only_for_n_above_one(self):
-        assert "crash-half" not in standard_gallery(1, SeedTree(0))
-        assert "crash-half" in standard_gallery(4, SeedTree(0))
+        assert "crash-half" not in schedule_gallery(1, SeedTree(0))
+        assert "crash-half" in schedule_gallery(4, SeedTree(0))
 
     def test_schedules_are_oblivious_to_reiteration(self):
         # Iterating twice gives the same sequence: the schedule is a fixed
         # object, not a reactive one.
-        for name, schedule in standard_gallery(3, SeedTree(1)).items():
+        for name, schedule in schedule_gallery(3, SeedTree(1)).items():
             assert schedule.take(40) == schedule.take(40), name
 
 

@@ -86,15 +86,27 @@ class TestScheduleFamilies:
         with pytest.raises(ConfigurationError, match="unknown schedule family"):
             make_schedule("nonsense", 4, SeedTree(0))
 
+    def test_every_gallery_member_covers_n(self):
+        gallery = schedule_gallery(4, SeedTree(0))
+        assert set(gallery) == set(SCHEDULE_FAMILIES)
+        for name, schedule in gallery.items():
+            assert schedule.n == 4, name
+            assert all(0 <= pid < 4 for pid in schedule.take(50)), name
+
     def test_gallery_excludes_crash_for_n1(self):
         gallery = schedule_gallery(1, SeedTree(0))
         assert "crash-half" not in gallery
         assert "round-robin" in gallery
+        assert "crash-half" in schedule_gallery(4, SeedTree(0))
 
     def test_gallery_is_reproducible(self):
         one = schedule_gallery(4, SeedTree(5))["random"].take(30)
         two = schedule_gallery(4, SeedTree(5))["random"].take(30)
         assert one == two
+        # Iterating one member twice replays it: schedules are fixed
+        # objects, not reactive ones.
+        for name, schedule in schedule_gallery(3, SeedTree(1)).items():
+            assert schedule.take(40) == schedule.take(40), name
 
     def test_different_trial_seeds_differ(self):
         one = make_schedule("random", 4, SeedTree(1)).take(30)
