@@ -2,15 +2,19 @@
 
 Binds a real server on an ephemeral port and speaks the wire protocol:
 one request object per line in, one response (or error) object per line
-out, connection survives malformed input.  Control verbs
-(``{"cmd": "stats"}`` / ``{"cmd": "health"}``) share the stream and are
-pinned here: they answer from the live :meth:`ConsensusService.snapshot`
-and never perturb in-flight sessions.
+out, connection survives malformed input.  Requests are pipelined:
+responses come back in completion order, matched by ``session_id``, with
+at most ``shards * workers_per_shard`` sessions in flight per connection.
+Control verbs (``{"cmd": "stats"}`` / ``{"cmd": "health"}``) share the
+stream and are pinned here: they answer from the live
+:meth:`ConsensusService.snapshot` as soon as they are read and never
+perturb in-flight sessions.
 """
 
 import asyncio
 import json
 
+import repro.service.service as service_module
 from repro.service import (
     ServiceConfig,
     ServiceServer,
@@ -43,6 +47,31 @@ def talk(lines, config=None):
     return asyncio.run(main())
 
 
+def pipeline(lines, config=None):
+    """Start a server, write every line before reading anything, then
+    half-close; return the reply objects in arrival order, up to EOF."""
+
+    async def main():
+        server = ServiceServer(config or ServiceConfig())
+        await server.start("127.0.0.1", 0)
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(b"".join(
+                line.encode("utf-8") + b"\n" for line in lines
+            ))
+            writer.write_eof()
+            replies = [json.loads(line) async for line in reader]
+            writer.close()
+            await writer.wait_closed()
+            return replies
+        finally:
+            await server.stop()
+
+    return asyncio.run(asyncio.wait_for(main(), timeout=30))
+
+
 def request_line(session_id, **overrides):
     request = SessionRequest(
         session_id=session_id, algorithm="sifting", n=4,
@@ -73,13 +102,48 @@ class TestWireProtocol:
         assert replies[1]["status"] == "completed"
 
     def test_invalid_request_object_is_reported(self):
+        """Answers can come back out of order, so an invalid request that
+        carried an integer session id gets it echoed in the error."""
         replies = talk([json.dumps({"version": 1, "session_id": -5})])
-        assert "error" in replies[0]
+        assert "invalid session request" in replies[0]["error"]
+        assert replies[0]["session_id"] == -5
+
+    def test_invalid_request_without_an_integer_id_echoes_none(self):
+        replies = talk([
+            json.dumps({"version": 1, "session_id": "abc"}),
+            json.dumps({"version": 1, "session_id": True, "n": -1}),
+            json.dumps([1, 2]),
+        ])
+        assert all("invalid session request" in r["error"]
+                   for r in replies)
+        assert ["session_id" in r for r in replies] == [False] * 3
+
+    def test_unexpected_service_error_is_answered_not_dropped(
+        self, monkeypatch
+    ):
+        """A non-ReproError escaping the service becomes an internal-error
+        reply naming the session, and the connection stays open."""
+        real = service_module.execute_session
+
+        def flaky(request, **kwargs):
+            if request.session_id == 1:
+                raise RuntimeError("worker exploded")
+            return real(request, **kwargs)
+
+        monkeypatch.setattr(service_module, "execute_session", flaky)
+        replies = talk([request_line(0), request_line(1), request_line(2)])
+        assert replies[0]["status"] == "completed"
+        assert replies[1] == {
+            "error": "internal error: RuntimeError: worker exploded",
+            "session_id": 1,
+        }
+        assert replies[2]["status"] == "completed"
 
     def test_foreign_version_is_reported(self):
-        replies = talk([request_line(0, version=99)])
+        replies = talk([request_line(3, version=99)])
         assert "error" in replies[0]
         assert "version" in replies[0]["error"]
+        assert replies[0]["session_id"] == 3
 
     def test_unknown_algorithm_is_the_clients_fault(self):
         replies = talk([request_line(0, algorithm="no-such")])
@@ -123,7 +187,135 @@ class TestWireProtocol:
             server.port
 
 
+class TestPipelining:
+    """Several sessions in flight per connection, bounded by the window
+    of ``shards * workers_per_shard`` sessions."""
+
+    WINDOW = ServiceConfig().shards * ServiceConfig().workers_per_shard
+
+    def test_every_request_is_answered_exactly_once(self):
+        count = 3 * self.WINDOW
+        replies = pipeline([request_line(i) for i in range(count)])
+        assert sorted(r["session_id"] for r in replies) == list(range(count))
+        assert all(r["status"] == "completed" for r in replies)
+
+    def test_fast_session_overtakes_a_slow_one(self):
+        """Responses arrive in completion order: an n=4 sifting session
+        (about 3 ms modelled) sent after an n=64 cil-embedded one (about
+        75 ms modelled) is answered first."""
+        replies = pipeline([
+            request_line(0, algorithm="cil-embedded", n=64),
+            request_line(1),
+        ])
+        assert [r["session_id"] for r in replies] == [1, 0]
+        assert all(r["status"] == "completed" for r in replies)
+
+    def test_half_close_still_gets_every_answer_in_flight(self):
+        """EOF from the client with a full window in flight: the server
+        answers all of them before it closes the connection."""
+        replies = pipeline([
+            request_line(i, algorithm="cil-embedded", n=64)
+            for i in range(self.WINDOW)
+        ])
+        assert sorted(r["session_id"] for r in replies) \
+            == list(range(self.WINDOW))
+
+    def test_oversized_line_waits_for_the_answers_in_flight(self):
+        """The too-long error closes the connection, so the session
+        pipelined ahead of it is answered first."""
+        replies = pipeline([
+            request_line(0, algorithm="cil-embedded", n=64),
+            "x" * (256 * 1024),
+        ])
+        assert replies[0]["session_id"] == 0
+        assert replies[0]["status"] == "completed"
+        assert "too long" in replies[1]["error"]
+        assert len(replies) == 2
+
+    def test_one_connection_never_holds_more_than_its_window(self):
+        """A stats poller on a second connection watches one client that
+        writes 6 windows of requests at once: occupancy rises above one
+        (the sessions overlap) but never past the window."""
+        count = 6 * self.WINDOW
+
+        async def main():
+            server = ServiceServer(ServiceConfig())
+            await server.start("127.0.0.1", 0)
+            try:
+                client = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                poller = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                client[1].write(b"".join(
+                    request_line(i, n=64).encode() + b"\n"
+                    for i in range(count)
+                ))
+
+                async def read_all():
+                    return [json.loads(await client[0].readline())
+                            for _ in range(count)]
+
+                answers = asyncio.ensure_future(read_all())
+                seen = []
+                while not answers.done():
+                    poller[1].write(b'{"cmd": "stats"}\n')
+                    stats = json.loads(await poller[0].readline())
+                    seen.append(stats["occupancy"]["total"])
+                    await asyncio.sleep(0.002)
+                replies = await answers
+                for _, writer in (client, poller):
+                    writer.close()
+                    await writer.wait_closed()
+                return replies, seen
+            finally:
+                await server.stop()
+
+        replies, seen = asyncio.run(asyncio.wait_for(main(), timeout=30))
+        assert sorted(r["session_id"] for r in replies) == list(range(count))
+        assert all(r["status"] == "completed" for r in replies)
+        assert 1 < max(seen) <= self.WINDOW
+
+
 class TestControlVerbs:
+    def test_verb_is_answered_ahead_of_a_full_window(self):
+        """With the connection's window full of slow ``deadline=5``
+        sessions, a ``health`` line on the same connection is answered
+        before any of them: verbs never wait for a worker slot."""
+        window = TestPipelining.WINDOW
+
+        async def main():
+            server = ServiceServer(ServiceConfig())
+            await server.start("127.0.0.1", 0)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                # n=512 sifting: about 360 ms modelled per session.
+                writer.write(b"".join(
+                    request_line(i, n=512).encode() + b"\n"
+                    for i in range(window)
+                ))
+                health = []
+                while not health or health[-1].get("occupancy") != window:
+                    writer.write(b'{"cmd": "health"}\n')
+                    health.append(json.loads(await reader.readline()))
+                    assert health[-1].get("cmd") == "health", health[-1]
+                sessions = [json.loads(await reader.readline())
+                            for _ in range(window)]
+                writer.close()
+                await writer.wait_closed()
+                return health, sessions
+            finally:
+                await server.stop()
+
+        health, sessions = asyncio.run(asyncio.wait_for(main(), timeout=30))
+        assert health[-1]["occupancy"] == window
+        assert sorted(r["session_id"] for r in sessions) \
+            == list(range(window))
+        assert all(r["status"] == "completed" for r in sessions)
+
     def test_stats_round_trips_the_live_snapshot(self):
         """``{"cmd": "stats"}`` over TCP is the snapshot() document —
         same keys, valid JSON, spans accounting included."""
