@@ -327,13 +327,13 @@ def run_adaptive_programs(
         raise SimulationError(
             f"got {len(inputs)} inputs for {n} programs; they must match"
         )
-    algorithm_seeds = seeds.child("algorithm")
+    rngs = seeds.child("algorithm").child_rngs("process", n)
     processes: Dict[int, Process] = {}
     for pid, program in enumerate(programs):
         context = ProcessContext(
             pid=pid,
             n=n,
-            rng=algorithm_seeds.child(f"process-{pid}").rng(),
+            rng=rngs[pid],
             input_value=None if inputs is None else inputs[pid],
         )
         processes[pid] = Process(context, program)

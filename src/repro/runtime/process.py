@@ -45,6 +45,13 @@ class ProcessContext:
     annotations: dict = field(default_factory=dict)
 
 
+def _not_an_operation(pid: int, value: Any) -> SimulationError:
+    return SimulationError(
+        f"process {pid} yielded {value!r}, which is not an Operation; "
+        "protocol programs must yield operation requests"
+    )
+
+
 class Process:
     """Wraps a protocol program generator and tracks its lifecycle.
 
@@ -57,40 +64,34 @@ class Process:
     3. when the generator returns, the process is *finished* and its return
        value becomes :attr:`output`.
 
+    State lives in plain ``__slots__`` attributes so the simulator's step
+    loop reads it without a property call:
+
+    - ``pid``: the process id (``context.pid``);
+    - ``finished``: True once the program has returned;
+    - ``output``: the program's return value, meaningful once finished;
+    - ``pending_operation``: the operation this process executes at its
+      next step (``None`` before start and once finished).
+
     A process that raises is a bug in the protocol, not an adversary move, so
     exceptions propagate wrapped in :class:`SimulationError`.
     """
 
+    __slots__ = ("context", "pid", "finished", "output", "pending_operation",
+                 "_program", "_generator")
+
     def __init__(self, context: ProcessContext, program: Program):
         self.context = context
+        self.pid: int = context.pid
+        self.finished = False
+        self.output: Any = None
+        self.pending_operation: Optional[Operation] = None
         self._program = program
         self._generator: Optional[Generator[Operation, Any, Any]] = None
-        self._pending: Optional[Operation] = None
-        self._finished = False
-        self._output: Any = None
-
-    @property
-    def pid(self) -> int:
-        return self.context.pid
-
-    @property
-    def finished(self) -> bool:
-        """True once the program has returned."""
-        return self._finished
-
-    @property
-    def output(self) -> Any:
-        """The program's return value; only meaningful once finished."""
-        return self._output
-
-    @property
-    def pending_operation(self) -> Optional[Operation]:
-        """The operation this process will execute at its next step."""
-        return self._pending
 
     @property
     def started(self) -> bool:
-        return self._generator is not None or self._finished
+        return self._generator is not None or self.finished
 
     def start(self) -> None:
         """Prime the program up to its first operation request."""
@@ -105,7 +106,9 @@ class Process:
             self._finish(stop.value)
             return
         self._generator = generator
-        self._set_pending(first)
+        if not isinstance(first, Operation):
+            raise _not_an_operation(self.pid, first)
+        self.pending_operation = first
 
     def complete_step(self, result: Any) -> None:
         """Deliver ``result`` for the pending operation and advance.
@@ -114,31 +117,26 @@ class Process:
         operation atomically.  Runs the program's local code up to its next
         operation request (or its return).
         """
-        if self._finished or self._generator is None:
+        generator = self._generator
+        if generator is None:
             raise SimulationError(
                 f"process {self.pid} received a step result while not running"
             )
         try:
-            nxt = self._generator.send(result)
+            operation = generator.send(result)
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        self._set_pending(nxt)
-
-    def _set_pending(self, operation: Operation) -> None:
         if not isinstance(operation, Operation):
-            raise SimulationError(
-                f"process {self.pid} yielded {operation!r}, which is not an "
-                "Operation; protocol programs must yield operation requests"
-            )
-        self._pending = operation
+            raise _not_an_operation(self.pid, operation)
+        self.pending_operation = operation
 
     def _finish(self, output: Any) -> None:
-        self._finished = True
-        self._output = output
-        self._pending = None
+        self.finished = True
+        self.output = output
+        self.pending_operation = None
         self._generator = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "finished" if self._finished else ("running" if self.started else "new")
+        state = "finished" if self.finished else ("running" if self.started else "new")
         return f"Process(pid={self.pid}, state={state})"

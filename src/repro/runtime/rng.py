@@ -21,11 +21,24 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 __all__ = ["SeedTree", "derive_seed"]
 
 _SEED_BYTES = 8
+
+
+def _path_hasher(master: int, labels: Iterable[str]) -> "hashlib._Hash":
+    hasher = hashlib.sha256()
+    hasher.update(str(master).encode("ascii"))
+    for label in labels:
+        hasher.update(b"\x00")
+        hasher.update(label.encode("utf-8"))
+    return hasher
+
+
+def _seed_of(hasher: "hashlib._Hash") -> int:
+    return int.from_bytes(hasher.digest()[:_SEED_BYTES], "big")
 
 
 def derive_seed(master: int, *labels: str) -> int:
@@ -35,12 +48,7 @@ def derive_seed(master: int, *labels: str) -> int:
     NUL-separated label path, so ``derive_seed(s, "a", "b")`` and
     ``derive_seed(s, "ab")`` are distinct streams.
     """
-    hasher = hashlib.sha256()
-    hasher.update(str(master).encode("ascii"))
-    for label in labels:
-        hasher.update(b"\x00")
-        hasher.update(label.encode("utf-8"))
-    return int.from_bytes(hasher.digest()[:_SEED_BYTES], "big")
+    return _seed_of(_path_hasher(master, labels))
 
 
 class SeedTree:
@@ -87,6 +95,21 @@ class SeedTree:
         """Yield ``count`` numbered children ``f"{prefix}-{i}"``."""
         for index in range(count):
             yield self.child(f"{prefix}-{index}")
+
+    def child_rngs(self, prefix: str, count: int) -> List[random.Random]:
+        """``[c.rng() for c in self.children(prefix, count)]``, cheaply.
+
+        The children share every hashed byte up to their index, so the
+        shared prefix is hashed once and each child only copies the hash
+        state and appends its own index.
+        """
+        shared = _path_hasher(self._seed, self._path + (f"{prefix}-",))
+        rngs = []
+        for index in range(count):
+            hasher = shared.copy()
+            hasher.update(str(index).encode("ascii"))
+            rngs.append(random.Random(_seed_of(hasher)))
+        return rngs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeedTree(seed={self._seed}, path={'/'.join(self._path) or '<root>'})"

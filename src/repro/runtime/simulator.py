@@ -19,6 +19,14 @@ slot: an injector may crash a process, withhold its slot, or intercept an
 operation, while invariant monitors (:mod:`repro.runtime.monitors`) observe
 every charged step and completion to check validity, coherence, and
 wait-freedom inline.
+
+There is one step loop, :meth:`Simulator.run`, for hooked and hook-free
+runs alike.  Per slot it looks the process up once, reads its state from
+plain attributes, applies the pending operation
+(``operation.obj.apply(operation, pid)``) and resumes the process
+(``process.complete_step(result)``); hook consultation, interception,
+notifications and trace events sit behind ``has_hooks`` /
+``trace is not None`` guards, so a run pays only for what it attaches.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from repro.errors import (
     SimulationError,
     StepLimitExceededError,
 )
-from repro.runtime.faults import CRASH, SKIP, StepHook
+from repro.runtime.faults import CRASH, SKIP, InterceptedResult, StepHook
+from repro.runtime.operations import Operation
 from repro.runtime.process import Process, ProcessContext, Program
 from repro.runtime.results import RunResult
 from repro.runtime.rng import SeedTree
@@ -83,9 +92,8 @@ class Simulator:
         hooks: :class:`~repro.runtime.faults.StepHook` instances consulted
             at every slot — fault injectors first, then monitors, so
             monitors observe the post-fault execution.  With no hooks at
-            all the step loop takes a guarded fast path that executes no
-            hook machinery whatsoever, so observability costs nothing
-            when it is not attached.
+            all the step loop skips every hook guard's body, so
+            observability costs nothing when it is not attached.
         skip_guard: consecutive free-slot threshold before the run is
             declared starved (default ``max(100_000, 1_000 * n)``).  Fault
             sweeps that starve processes on purpose lower it so stuck runs
@@ -150,12 +158,18 @@ class Simulator:
         crashed by a fault hook do not count as unfinished: wait-freedom
         demands only that the survivors terminate.
         """
+        processes = self.processes
+        unfinished = self._unfinished
+        crashed = self._crashed
+        steps_by_pid = self._steps_by_pid
+        trace = self.trace
+        step_limit = self.step_limit
         self._emit("on_run_start", self)
-        for process in self.processes.values():
+        for process in processes.values():
             if not process.started:
                 process.start()
             if process.finished:
-                self._unfinished.discard(process.pid)
+                unfinished.discard(process.pid)
                 self._emit("on_finish", process.pid, process.output,
                            pid=process.pid)
 
@@ -169,16 +183,17 @@ class Simulator:
             else max(100_000, 1_000 * self.n)
         )
         consecutive_skips = 0
-        # Guarded fast path: with no hooks attached, the hot loop below
-        # performs zero hook machinery (no consult, no emit, no intercept
-        # scan) — observability is strictly pay-for-what-you-attach.
+        # With no hooks attached the loop below performs zero hook
+        # machinery (no consult, no intercept scan, no emit): observability
+        # is strictly pay-for-what-you-attach.
         has_hooks = bool(self.hooks)
-        if self._unfinished:
+        if unfinished:
+            lookup = processes.get
             for pid in self.schedule:
-                if pid not in self.processes:
+                process = lookup(pid)
+                if process is None:
                     continue
-                process = self.processes[pid]
-                if process.finished or pid in self._crashed:
+                if process.finished or pid in crashed:
                     # Free no-op: the model does not charge finished (or
                     # crashed) processes for slots they no longer use.
                     consecutive_skips += 1
@@ -186,74 +201,100 @@ class Simulator:
                         if allow_partial:
                             break
                         raise ScheduleExhaustedError(
-                            f"processes {sorted(self._unfinished)} appear "
+                            f"processes {sorted(unfinished)} appear "
                             f"starved: {skip_guard} consecutive slots went to "
                             "finished or crashed processes",
-                            unfinished_pids=self._unfinished,
-                            steps_by_pid=self._steps_by_pid,
+                            unfinished_pids=unfinished,
+                            steps_by_pid=steps_by_pid,
                         )
                     continue
-                action = (
-                    self._consult_hooks(pid, step_index, process)
+                if has_hooks:
+                    action = self._consult_hooks(pid, step_index, process)
+                    if action == CRASH:
+                        self._crash(pid)
+                        if not unfinished:
+                            break
+                        continue
+                    if action == SKIP:
+                        self._emit("on_skip", pid, step_index,
+                                   pid=pid, step=step_index)
+                        consecutive_skips += 1
+                        if consecutive_skips >= skip_guard:
+                            if allow_partial:
+                                break
+                            raise ScheduleExhaustedError(
+                                f"processes {sorted(unfinished)} appear "
+                                f"starved: {skip_guard} consecutive slots "
+                                "were withheld by fault injection",
+                                unfinished_pids=unfinished,
+                                steps_by_pid=steps_by_pid,
+                            )
+                        continue
+                consecutive_skips = 0
+                operation = process.pending_operation
+                if operation is None:
+                    raise SimulationError(
+                        f"process {pid} scheduled with no pending operation"
+                    )
+                intercepted = (
+                    self._intercept(pid, step_index, operation)
                     if has_hooks else None
                 )
-                if action == CRASH:
-                    self._crash(pid)
-                    if not self._unfinished:
-                        break
-                    continue
-                if action == SKIP:
-                    self._emit("on_skip", pid, step_index,
-                               pid=pid, step=step_index)
-                    consecutive_skips += 1
-                    if consecutive_skips >= skip_guard:
-                        if allow_partial:
-                            break
-                        raise ScheduleExhaustedError(
-                            f"processes {sorted(self._unfinished)} appear "
-                            f"starved: {skip_guard} consecutive slots were "
-                            "withheld by fault injection",
-                            unfinished_pids=self._unfinished,
-                            steps_by_pid=self._steps_by_pid,
+                if intercepted is None:
+                    result = operation.obj.apply(operation, pid)
+                else:
+                    result = intercepted.value
+                steps_by_pid[pid] += 1
+                if trace is not None:
+                    trace.record(
+                        TraceEvent(
+                            step=step_index,
+                            pid=pid,
+                            kind=operation.kind,
+                            obj_name=operation.obj.name,
+                            value=getattr(operation, "value", None),
+                            result=result,
                         )
-                    continue
-                consecutive_skips = 0
-                self._execute_one(process, step_index)
+                    )
+                if has_hooks:
+                    self._emit("after_step", pid, step_index, operation,
+                               result, pid=pid, step=step_index)
+                process.complete_step(result)
                 step_index += 1
-                if step_index > self.step_limit:
+                if step_index > step_limit:
                     raise StepLimitExceededError(
-                        f"run exceeded step limit {self.step_limit}",
-                        unfinished_pids=self._unfinished,
-                        steps_by_pid=self._steps_by_pid,
+                        f"run exceeded step limit {step_limit}",
+                        unfinished_pids=unfinished,
+                        steps_by_pid=steps_by_pid,
                     )
                 if process.finished:
-                    self._unfinished.discard(pid)
+                    unfinished.discard(pid)
                     if has_hooks:
                         self._emit("on_finish", pid, process.output,
                                    pid=pid, step=step_index)
-                    if not self._unfinished:
+                    if not unfinished:
                         break
             else:
-                if not allow_partial and self._unfinished:
+                if not allow_partial and unfinished:
                     raise ScheduleExhaustedError(
-                        f"schedule ended with processes {sorted(self._unfinished)} "
+                        f"schedule ended with processes {sorted(unfinished)} "
                         "unfinished",
-                        unfinished_pids=self._unfinished,
-                        steps_by_pid=self._steps_by_pid,
+                        unfinished_pids=unfinished,
+                        steps_by_pid=steps_by_pid,
                     )
 
         outputs = {
             pid: process.output
-            for pid, process in self.processes.items()
+            for pid, process in processes.items()
             if process.finished
         }
         result = RunResult(
             n=self.n,
             outputs=outputs,
-            steps_by_pid=dict(self._steps_by_pid),
-            completed=not self._unfinished and not self._crashed,
-            trace=self.trace,
-            crashed=frozenset(self._crashed),
+            steps_by_pid=dict(steps_by_pid),
+            completed=not unfinished and not crashed,
+            trace=trace,
+            crashed=frozenset(crashed),
             metrics=self.metrics,
         )
         self._emit("on_run_end", result)
@@ -303,43 +344,20 @@ class Simulator:
         self._unfinished.discard(pid)
         self._emit("on_crash", pid, self._steps_by_pid[pid], pid=pid)
 
-    def _execute_one(self, process: Process, step_index: int) -> None:
-        operation = process.pending_operation
-        if operation is None:
-            raise SimulationError(
-                f"process {process.pid} scheduled with no pending operation"
-            )
-        intercepted = None
-        if self.hooks:
-            for hook in self.hooks:
-                try:
-                    intercepted = hook.intercept(process.pid, operation)
-                except BaseException as error:
-                    _note_hook_failure(error, hook, "intercept",
-                                       pid=process.pid, global_step=step_index)
-                    raise
-                if intercepted is not None:
-                    break
-        if intercepted is not None:
-            result = intercepted.value
-        else:
-            result = operation.obj.apply(operation, process.pid)
-        self._steps_by_pid[process.pid] += 1
-        if self.trace is not None:
-            self.trace.record(
-                TraceEvent(
-                    step=step_index,
-                    pid=process.pid,
-                    kind=operation.kind,
-                    obj_name=operation.obj.name,
-                    value=getattr(operation, "value", None),
-                    result=result,
-                )
-            )
-        if self.hooks:
-            self._emit("after_step", process.pid, step_index, operation,
-                       result, pid=process.pid, step=step_index)
-        process.complete_step(result)
+    def _intercept(
+        self, pid: int, step_index: int, operation: Operation
+    ) -> Optional[InterceptedResult]:
+        """The first hook interception of ``operation``, if any hook has one."""
+        for hook in self.hooks:
+            try:
+                intercepted = hook.intercept(pid, operation)
+            except BaseException as error:
+                _note_hook_failure(error, hook, "intercept",
+                                   pid=pid, global_step=step_index)
+                raise
+            if intercepted is not None:
+                return intercepted
+        return None
 
 
 def run_programs(
@@ -357,9 +375,10 @@ def run_programs(
 ) -> RunResult:
     """Convenience wrapper: build processes from programs and run them.
 
-    Each process receives a private RNG from the ``"algorithm"`` branch of
-    ``seeds``; the schedule was (by convention) built from the ``"schedule"``
-    branch, so the two are independent as the oblivious model requires.
+    Each process receives a private RNG, ``seeds / "algorithm" /
+    f"process-{pid}"``, built by :meth:`SeedTree.child_rngs`; the schedule
+    was (by convention) built from the ``"schedule"`` branch, so the two are
+    independent as the oblivious model requires.
 
     Args:
         programs: one program per process.
@@ -376,16 +395,19 @@ def run_programs(
         raise SimulationError(
             f"got {len(inputs)} inputs for {n} programs; they must match"
         )
-    algorithm_seeds = seeds.child("algorithm")
-    processes = []
-    for pid, program in enumerate(programs):
-        context = ProcessContext(
-            pid=pid,
-            n=n,
-            rng=algorithm_seeds.child(f"process-{pid}").rng(),
-            input_value=None if inputs is None else inputs[pid],
+    rngs = seeds.child("algorithm").child_rngs("process", n)
+    processes = [
+        Process(
+            ProcessContext(
+                pid=pid,
+                n=n,
+                rng=rngs[pid],
+                input_value=None if inputs is None else inputs[pid],
+            ),
+            program,
         )
-        processes.append(Process(context, program))
+        for pid, program in enumerate(programs)
+    ]
     simulator = Simulator(
         processes,
         schedule,

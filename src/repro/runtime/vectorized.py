@@ -469,6 +469,7 @@ def _oracle_coins(np: Any, plan: _Plan, trial_seeds: SeedTree) -> _BlockCoins:
     depend only on the consumed prefix).
     """
     n = plan.n
+    # Per-child rng(), not child_rngs: keeps this oracle independent of it.
     algorithm_seeds = trial_seeds.child("algorithm")
     if plan.algorithm == "sifting":
         bits = np.empty((1, plan.rounds, n), dtype=bool)

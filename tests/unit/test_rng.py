@@ -1,6 +1,7 @@
 """Unit tests for the seed tree (randomness plumbing)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime.rng import SeedTree, derive_seed
 
@@ -70,3 +71,28 @@ class TestSeedTree:
         child = root.child("x")
         assert root.path == ()
         assert child.path == ("x",)
+
+
+class TestChildRngs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        master=st.integers(min_value=-(2**70), max_value=2**70),
+        path=st.lists(st.text(max_size=8), max_size=3),
+        prefix=st.text(max_size=10),
+        count=st.integers(min_value=0, max_value=24),
+    )
+    def test_streams_match_per_child_derivation(self, master, path, prefix, count):
+        tree = SeedTree(master, tuple(path))
+        shared_hash = tree.child_rngs(prefix, count)
+        per_child = [child.rng() for child in tree.children(prefix, count)]
+        assert len(shared_hash) == count
+        assert [[rng.getrandbits(64) for _ in range(4)] for rng in shared_hash] == [
+            [rng.getrandbits(64) for _ in range(4)] for rng in per_child
+        ]
+
+    def test_process_streams_of_a_trial(self):
+        algorithm = SeedTree(2012).child("trial-7").child("algorithm")
+        rngs = algorithm.child_rngs("process", 64)
+        assert [rng.random() for rng in rngs] == [
+            algorithm.child(f"process-{pid}").rng().random() for pid in range(64)
+        ]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.cli import CONCILIATORS
 from repro.errors import (
     ScheduleExhaustedError,
     SimulationError,
@@ -19,7 +20,9 @@ from repro.runtime.scheduler import (
     RandomSchedule,
     RoundRobinSchedule,
 )
+from repro.runtime.faults import StepHook
 from repro.runtime.simulator import Simulator, run_programs
+from repro.workloads.schedules import make_schedule
 
 
 def write_then_read(register):
@@ -212,6 +215,87 @@ class TestFailureModes:
         processes = make_processes([write_then_read(register)] * 3)
         with pytest.raises(SimulationError, match="schedule covers"):
             Simulator(processes, RoundRobinSchedule(2))
+
+
+class TestStepLoopGuards:
+    """Guard paths of the step loop that ordinary protocols never reach."""
+
+    def test_non_operation_first_yield_names_the_pid(self):
+        register = AtomicRegister("r")
+
+        def bad(ctx):
+            yield "not an operation"
+
+        with pytest.raises(SimulationError, match="process 1 yielded"):
+            run_programs([write_then_read(register), bad],
+                         RoundRobinSchedule(2), SeedTree(0))
+
+    def test_non_operation_mid_run_names_the_pid(self):
+        register = AtomicRegister("r")
+
+        def bad_later(ctx):
+            yield Write(register, ctx.pid)
+            yield 42
+
+        with pytest.raises(SimulationError, match="process 1 yielded 42"):
+            run_programs([write_then_read(register), bad_later],
+                         RoundRobinSchedule(2), SeedTree(0))
+
+    def test_extra_schedule_pids_are_free_and_uncounted(self):
+        # A 4-process round robin over 2 processes: pids 2 and 3 name no
+        # process.  A skip guard of 1 would trip on the first counted skip,
+        # so the run completing shows those slots never reach the guard.
+        register = AtomicRegister("r")
+        seen = []
+
+        class Recorder(StepHook):
+            def before_step(self, pid, process_steps, global_steps, operation):
+                seen.append(pid)
+                return None
+
+        result = run_programs(
+            [write_then_read(register)] * 2,
+            RoundRobinSchedule(4),
+            SeedTree(0),
+            skip_guard=1,
+            hooks=[Recorder()],
+        )
+        assert result.completed
+        assert result.steps_by_pid == {0: 2, 1: 2}
+        assert result.total_steps == 4
+        assert seen == [0, 1, 0, 1]
+
+    def test_complete_step_after_the_run_is_rejected(self):
+        register = AtomicRegister("r")
+        processes = make_processes([write_then_read(register)])
+        Simulator(processes, RoundRobinSchedule(1)).run()
+        assert processes[0].finished
+        with pytest.raises(SimulationError, match="process 0 .*not running"):
+            processes[0].complete_step(None)
+
+
+@pytest.mark.parametrize("family", ["permuted", "interleaved", "random"])
+@pytest.mark.parametrize("algorithm", ["sifting", "snapshot", "cil-embedded"])
+def test_passive_hook_run_matches_hook_free_run(algorithm, family):
+    """Attaching a do-nothing hook changes nothing a run reports."""
+    n, seeds = 8, SeedTree(2012).child("trial-3")
+
+    def run(hooks):
+        conciliator = CONCILIATORS[algorithm](n)
+        return run_programs(
+            [conciliator.program] * n,
+            make_schedule(family, n, seeds.child("schedule")),
+            seeds,
+            inputs=[pid % 3 for pid in range(n)],
+            record_trace=True,
+            hooks=hooks,
+        )
+
+    bare, hooked = run(()), run([StepHook()])
+    assert bare.completed and hooked.completed
+    assert hooked.outputs == bare.outputs
+    assert hooked.steps_by_pid == bare.steps_by_pid
+    assert hooked.trace.events == bare.trace.events
 
 
 class TestDeterminism:
