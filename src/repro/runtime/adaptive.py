@@ -31,21 +31,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.codec import check_envelope
-from repro.errors import (
-    ConfigurationError,
-    ScheduleExhaustedError,
-    SimulationError,
-    StepLimitExceededError,
-)
-from repro.runtime.faults import CRASH, SKIP, StepHook
+from repro.errors import ConfigurationError, SimulationError
+from repro.runtime.faults import StepHook
 from repro.runtime.operations import Operation
-from repro.runtime.process import Process, ProcessContext, Program
+from repro.runtime.process import Process, Program
 from repro.runtime.results import RunResult
 from repro.runtime.rng import SeedTree
-from repro.runtime.trace import TraceEvent, TraceRecorder
+from repro.runtime.scheduler import Schedule
+from repro.runtime.simulator import Simulator, build_processes
 
 __all__ = [
     "ADAPTIVE_FAMILIES",
@@ -290,6 +286,35 @@ class AdaptiveSpec:
         return cls(name=str(data["name"]), seed=int(data.get("seed", 0)))
 
 
+class _AdversarySlots(Schedule):
+    """The slot source of an adaptive run: one adversary choice per slot.
+
+    :meth:`Simulator.run` iterates it lazily, so the adversary is consulted
+    exactly once per slot, against the state the previous slot left.
+    Unlike the oblivious schedules it is not fixed in advance, which is the
+    whole point: ``view`` is bound to the running simulator's state.
+    """
+
+    #: Bound to the simulator's state once the simulator exists.
+    view: AdversaryView
+
+    def __init__(self, adversary: AdaptiveAdversary, n: int):
+        self.n = n
+        self.adversary = adversary
+
+    def __iter__(self) -> Iterator[int]:
+        view = self.view
+        processes, crashed = view._processes, view._crashed
+        while True:
+            pid = self.adversary.choose(view)
+            process = processes.get(pid)
+            if process is None or process.finished or pid in crashed:
+                raise SimulationError(
+                    f"adaptive adversary chose unrunnable process {pid}"
+                )
+            yield pid
+
+
 def run_adaptive_programs(
     programs: Sequence[Program],
     adversary: AdaptiveAdversary,
@@ -303,153 +328,33 @@ def run_adaptive_programs(
 ) -> RunResult:
     """Execute programs under an adaptive adversary.
 
-    The loop mirrors :class:`repro.runtime.simulator.Simulator` but asks the
-    adversary for the next pid at every step instead of consuming a fixed
-    schedule.  Since the adversary only picks among runnable processes,
-    runs always complete (subject to ``step_limit``).
+    Runs :class:`~repro.runtime.simulator.Simulator` over a slot source
+    that asks the adversary for the next pid at every slot instead of
+    consuming a fixed schedule.  Since the adversary only picks among
+    runnable processes, runs always complete (subject to ``step_limit``);
+    a pick of a finished, crashed or unknown pid raises
+    :class:`SimulationError`.
 
     ``hooks`` attaches the same :class:`~repro.runtime.faults.StepHook`
-    instances the oblivious simulator takes — fault injectors may crash a
-    process (it disappears from the adversary's view) or withhold slots,
-    and invariant monitors observe every charged step, so the full monitor
-    suite rides along adaptive runs too.  One difference: adaptive runs
-    have no :class:`~repro.runtime.simulator.Simulator`, so ``on_run_start``
-    is not emitted.  ``skip_guard`` bounds consecutive withheld slots
-    (default ``max(10_000, 1_000 * n)``) — an adversary that keeps naming a
-    stalled process would otherwise spin forever.
+    instances the oblivious simulator takes, with the same lifecycle —
+    fault injectors may crash a process (it disappears from the
+    adversary's view) or withhold slots, and invariant monitors observe
+    every charged step, so the full monitor suite rides along adaptive runs
+    too.  ``skip_guard`` bounds consecutive withheld slots (default
+    ``max(10_000, 1_000 * n)``) — an adversary that keeps naming a stalled
+    process would otherwise spin forever.
     """
-    # Local import: simulator imports faults, and the note helper lives with
-    # the other hook plumbing there.
-    from repro.runtime.simulator import _note_hook_failure
-
     n = len(programs)
-    if inputs is not None and len(inputs) != n:
-        raise SimulationError(
-            f"got {len(inputs)} inputs for {n} programs; they must match"
-        )
-    rngs = seeds.child("algorithm").child_rngs("process", n)
-    processes: Dict[int, Process] = {}
-    for pid, program in enumerate(programs):
-        context = ProcessContext(
-            pid=pid,
-            n=n,
-            rng=rngs[pid],
-            input_value=None if inputs is None else inputs[pid],
-        )
-        processes[pid] = Process(context, program)
-
-    steps: Dict[int, int] = {pid: 0 for pid in processes}
-    trace = TraceRecorder() if record_trace else None
-    crashed: Set[int] = set()
-    guard = skip_guard if skip_guard is not None else max(10_000, 1_000 * n)
-    hooks = list(hooks)
-
-    def emit(stage: str, *args: Any, pid: Optional[int] = None,
-             step: Optional[int] = None) -> None:
-        for hook in hooks:
-            try:
-                getattr(hook, stage)(*args)
-            except BaseException as error:
-                _note_hook_failure(error, hook, stage, pid=pid, global_step=step)
-                raise
-
-    for process in processes.values():
-        process.start()
-        if process.finished:
-            emit("on_finish", process.pid, process.output, pid=process.pid)
-
-    view = AdversaryView(processes, steps, crashed)
-    step_index = 0
-    consecutive_skips = 0
-    while view.unfinished():
-        pid = adversary.choose(view)
-        process = processes[pid]
-        if process.finished or pid in crashed:
-            raise SimulationError(
-                f"adaptive adversary chose unrunnable process {pid}"
-            )
-        action: Optional[str] = None
-        for hook in hooks:
-            try:
-                decision = hook.before_step(
-                    pid, steps[pid], step_index, process.pending_operation
-                )
-            except BaseException as error:
-                _note_hook_failure(error, hook, "before_step",
-                                   pid=pid, global_step=step_index)
-                raise
-            if decision == CRASH:
-                action = CRASH
-                break
-            if decision == SKIP:
-                action = SKIP
-        if action == CRASH:
-            crashed.add(pid)
-            emit("on_crash", pid, steps[pid], pid=pid)
-            continue
-        if action == SKIP:
-            consecutive_skips += 1
-            if consecutive_skips >= guard:
-                raise ScheduleExhaustedError(
-                    f"adaptive run appears starved: {guard} consecutive "
-                    "slots were withheld by fault injection",
-                    unfinished_pids=view.unfinished(),
-                    steps_by_pid=steps,
-                )
-            continue
-        consecutive_skips = 0
-        operation = process.pending_operation
-        intercepted = None
-        for hook in hooks:
-            try:
-                intercepted = hook.intercept(pid, operation)
-            except BaseException as error:
-                _note_hook_failure(error, hook, "intercept",
-                                   pid=pid, global_step=step_index)
-                raise
-            if intercepted is not None:
-                break
-        if intercepted is not None:
-            result = intercepted.value
-        else:
-            result = operation.obj.apply(operation, pid)
-        steps[pid] += 1
-        if trace is not None:
-            trace.record(
-                TraceEvent(
-                    step=step_index,
-                    pid=pid,
-                    kind=operation.kind,
-                    obj_name=operation.obj.name,
-                    value=getattr(operation, "value", None),
-                    result=result,
-                )
-            )
-        emit("after_step", pid, step_index, operation, result,
-             pid=pid, step=step_index)
-        process.complete_step(result)
-        if process.finished:
-            emit("on_finish", pid, process.output, pid=pid, step=step_index)
-        step_index += 1
-        if step_index > step_limit:
-            raise StepLimitExceededError(
-                f"adaptive run exceeded step limit {step_limit}",
-                unfinished_pids=view.unfinished(),
-                steps_by_pid=steps,
-            )
-
-    outputs = {
-        pid: process.output
-        for pid, process in processes.items()
-        if process.finished
-    }
-    result = RunResult(
-        n=n,
-        outputs=outputs,
-        steps_by_pid=dict(steps),
-        completed=not crashed and len(outputs) == n,
-        trace=trace,
-        crashed=frozenset(crashed),
+    slots = _AdversarySlots(adversary, n)
+    simulator = Simulator(
+        build_processes(programs, seeds, inputs),
+        slots,
+        record_trace=record_trace,
+        step_limit=step_limit,
+        hooks=hooks,
+        skip_guard=skip_guard if skip_guard is not None else max(10_000, 1_000 * n),
     )
-    emit("on_run_end", result)
-    return result
+    slots.view = AdversaryView(
+        simulator.processes, simulator._steps_by_pid, simulator._crashed
+    )
+    return simulator.run()

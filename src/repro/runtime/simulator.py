@@ -21,12 +21,15 @@ every charged step and completion to check validity, coherence, and
 wait-freedom inline.
 
 There is one step loop, :meth:`Simulator.run`, for hooked and hook-free
-runs alike.  Per slot it looks the process up once, reads its state from
-plain attributes, applies the pending operation
-(``operation.obj.apply(operation, pid)``) and resumes the process
-(``process.complete_step(result)``); hook consultation, interception,
-notifications and trace events sit behind ``has_hooks`` /
-``trace is not None`` guards, so a run pays only for what it attaches.
+runs and for oblivious and adaptive adversaries alike:
+:func:`~repro.runtime.adaptive.run_adaptive_programs` drives this simulator
+over a slot source that asks the adversary for every slot.  Per slot the
+loop looks the process up once, reads its state from plain attributes,
+applies the pending operation (``operation.obj.apply(operation, pid)``) and
+resumes the process (``process.complete_step(result)``); hook consultation,
+interception and notifications sit behind one ``has_hooks`` guard, so a run
+pays only for what it attaches.  Trace recording is one of those hooks
+(:class:`~repro.runtime.trace.TraceRecorder`), not a branch of the loop.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ from repro.runtime.process import Process, ProcessContext, Program
 from repro.runtime.results import RunResult
 from repro.runtime.rng import SeedTree
 from repro.runtime.scheduler import Schedule
-from repro.runtime.trace import TraceEvent, TraceRecorder
+from repro.runtime.trace import TraceRecorder
 
-__all__ = ["Simulator", "run_programs"]
+__all__ = ["Simulator", "build_processes", "run_programs"]
 
 _DEFAULT_STEP_LIMIT = 50_000_000
 
@@ -82,8 +85,11 @@ class Simulator:
         schedule: the adversary's schedule.  Must be independent of the
             processes' randomness; using :class:`~repro.runtime.rng.SeedTree`
             branches for both makes this structural.
-        record_trace: if True, record every executed operation in a
-            :class:`~repro.runtime.trace.TraceRecorder` (costs memory).
+        record_trace: if True, put a
+            :class:`~repro.runtime.trace.TraceRecorder` first among the
+            hooks, recording every executed operation (costs memory).  It
+            is surfaced on ``RunResult.trace``; adaptive runs record
+            through the same hook.
         step_limit: safety valve; a run exceeding this many charged steps
             raises :class:`StepLimitExceededError` instead of spinning
             forever.  Randomized wait-free protocols terminate with
@@ -129,7 +135,9 @@ class Simulator:
         self.n = len(processes)
         self.schedule = schedule
         self.step_limit = step_limit
-        self.hooks: List[StepHook] = list(hooks)
+        self.trace: Optional[TraceRecorder] = TraceRecorder() if record_trace else None
+        self.hooks: List[StepHook] = [] if self.trace is None else [self.trace]
+        self.hooks.extend(hooks)
         self.metrics = metrics
         if metrics is not None:
             # Imported lazily: repro.obs builds on the runtime layer, so
@@ -138,7 +146,6 @@ class Simulator:
 
             self.hooks.append(MetricsHook(metrics))
         self.skip_guard = skip_guard
-        self.trace: Optional[TraceRecorder] = TraceRecorder() if record_trace else None
         self._steps_by_pid: Dict[int, int] = {pid: 0 for pid in self.processes}
         self._unfinished = set(self.processes)
         self._crashed: set = set()
@@ -162,7 +169,6 @@ class Simulator:
         unfinished = self._unfinished
         crashed = self._crashed
         steps_by_pid = self._steps_by_pid
-        trace = self.trace
         step_limit = self.step_limit
         self._emit("on_run_start", self)
         for process in processes.values():
@@ -245,17 +251,6 @@ class Simulator:
                 else:
                     result = intercepted.value
                 steps_by_pid[pid] += 1
-                if trace is not None:
-                    trace.record(
-                        TraceEvent(
-                            step=step_index,
-                            pid=pid,
-                            kind=operation.kind,
-                            obj_name=operation.obj.name,
-                            value=getattr(operation, "value", None),
-                            result=result,
-                        )
-                    )
                 if has_hooks:
                     self._emit("after_step", pid, step_index, operation,
                                result, pid=pid, step=step_index)
@@ -293,7 +288,7 @@ class Simulator:
             outputs=outputs,
             steps_by_pid=dict(steps_by_pid),
             completed=not unfinished and not crashed,
-            trace=trace,
+            trace=self.trace,
             crashed=frozenset(crashed),
             metrics=self.metrics,
         )
@@ -360,6 +355,37 @@ class Simulator:
         return None
 
 
+def build_processes(
+    programs: Sequence[Program],
+    seeds: SeedTree,
+    inputs: Optional[Sequence[Any]] = None,
+) -> List[Process]:
+    """One process per program, pid ``i`` running ``programs[i]``.
+
+    Each process receives a private RNG, ``seeds / "algorithm" /
+    f"process-{pid}"``, built by :meth:`SeedTree.child_rngs`, and input
+    ``inputs[pid]`` (``None`` without inputs).
+    """
+    n = len(programs)
+    if inputs is not None and len(inputs) != n:
+        raise SimulationError(
+            f"got {len(inputs)} inputs for {n} programs; they must match"
+        )
+    rngs = seeds.child("algorithm").child_rngs("process", n)
+    return [
+        Process(
+            ProcessContext(
+                pid=pid,
+                n=n,
+                rng=rngs[pid],
+                input_value=None if inputs is None else inputs[pid],
+            ),
+            program,
+        )
+        for pid, program in enumerate(programs)
+    ]
+
+
 def run_programs(
     programs: Sequence[Program],
     schedule: Schedule,
@@ -375,10 +401,10 @@ def run_programs(
 ) -> RunResult:
     """Convenience wrapper: build processes from programs and run them.
 
-    Each process receives a private RNG, ``seeds / "algorithm" /
-    f"process-{pid}"``, built by :meth:`SeedTree.child_rngs`; the schedule
-    was (by convention) built from the ``"schedule"`` branch, so the two are
-    independent as the oblivious model requires.
+    Processes come from :func:`build_processes` (private RNGs on the
+    ``"algorithm"`` branch); the schedule was (by convention) built from the
+    ``"schedule"`` branch, so the two are independent as the oblivious model
+    requires.
 
     Args:
         programs: one program per process.
@@ -390,26 +416,8 @@ def run_programs(
         metrics: optional metrics registry populated during the run and
             surfaced on ``RunResult.metrics`` (see :class:`Simulator`).
     """
-    n = len(programs)
-    if inputs is not None and len(inputs) != n:
-        raise SimulationError(
-            f"got {len(inputs)} inputs for {n} programs; they must match"
-        )
-    rngs = seeds.child("algorithm").child_rngs("process", n)
-    processes = [
-        Process(
-            ProcessContext(
-                pid=pid,
-                n=n,
-                rng=rngs[pid],
-                input_value=None if inputs is None else inputs[pid],
-            ),
-            program,
-        )
-        for pid, program in enumerate(programs)
-    ]
     simulator = Simulator(
-        processes,
+        build_processes(programs, seeds, inputs),
         schedule,
         record_trace=record_trace,
         step_limit=step_limit,

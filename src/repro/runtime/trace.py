@@ -6,6 +6,12 @@ the checkers here verify that the shared-object implementations actually
 honour their sequential specifications along that linearization (reads return
 the last write, snapshot views nest, max registers are monotone).  This turns
 "our registers are atomic" from an assumption into a tested property.
+
+Recording is a step hook: :class:`TraceRecorder` appends one
+:class:`TraceEvent` per charged step from ``after_step``.
+``Simulator(record_trace=True)`` puts a recorder first among its hooks, so
+oblivious and adaptive runs (which drive the same simulator) record traces
+the same way, and the step loop itself has no trace branch.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolViolationError
+from repro.runtime.faults import StepHook
+from repro.runtime.operations import Operation
 
 __all__ = ["TraceEvent", "TraceRecorder", "check_register_semantics",
            "check_snapshot_semantics", "check_max_register_semantics"]
@@ -40,11 +48,11 @@ class TraceEvent:
     result: Any
 
 
-class TraceRecorder:
-    """Collects :class:`TraceEvent` records during a run.
+class TraceRecorder(StepHook):
+    """Collects a :class:`TraceEvent` for every charged step of a run.
 
     Recording full traces is optional (it costs memory proportional to the
-    number of steps), so the simulator only records when asked.
+    number of steps), so the simulator only attaches a recorder when asked.
     """
 
     def __init__(self) -> None:
@@ -52,6 +60,20 @@ class TraceRecorder:
 
     def record(self, event: TraceEvent) -> None:
         self.events.append(event)
+
+    def after_step(
+        self, pid: int, step_index: int, operation: Operation, result: Any
+    ) -> None:
+        self.events.append(
+            TraceEvent(
+                step=step_index,
+                pid=pid,
+                kind=operation.kind,
+                obj_name=operation.obj.name,
+                value=getattr(operation, "value", None),
+                result=result,
+            )
+        )
 
     def for_object(self, obj_name: str) -> List[TraceEvent]:
         """All events touching the named object, in execution order."""

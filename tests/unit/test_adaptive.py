@@ -1,18 +1,31 @@
 """Unit tests for the adaptive-adversary runtime."""
 
+import hashlib
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.errors import SimulationError, StepLimitExceededError
+from repro.errors import (
+    ScheduleExhaustedError,
+    SimulationError,
+    StepLimitExceededError,
+)
 from repro.memory.register import AtomicRegister
 from repro.runtime.adaptive import (
+    ADAPTIVE_FAMILIES,
+    AdaptiveAdversary,
     AdversaryView,
     LongestFirstAdversary,
     PendingKindAdversary,
     RandomAdaptiveAdversary,
     ShortestFirstAdversary,
     SiftKillerAdversary,
+    make_adaptive,
     run_adaptive_programs,
 )
+from repro.runtime.adversary import LATE, NOISY, make_adversary
+from repro.runtime.faults import CrashFault, FaultPlan, StallFault
 from repro.runtime.operations import Read, Write
 from repro.runtime.rng import SeedTree
 
@@ -71,6 +84,22 @@ class TestRunAdaptive:
                 [forever], ShortestFirstAdversary(), SeedTree(0),
                 step_limit=50,
             )
+
+    @pytest.mark.parametrize("pick", [0, 99])
+    def test_unrunnable_choice_is_refused(self, pick):
+        # pid 0 finishes after one step; 99 names no process at all.
+        register = AtomicRegister("r")
+
+        class Stubborn(AdaptiveAdversary):
+            def choose(self, view):
+                return pick
+
+        def once(ctx):
+            yield Write(register, ctx.pid)
+            return "done"
+
+        with pytest.raises(SimulationError, match="unrunnable process"):
+            run_adaptive_programs([once, once], Stubborn(), SeedTree(0))
 
     def test_input_length_checked(self):
         register = AtomicRegister("r")
@@ -313,3 +342,147 @@ class TestAdaptiveUnderFullMonitorSuite:
         assert result.completed
         assert watchdog.violations
         assert all(v.monitor == "wait-freedom" for v in watchdog.violations)
+
+
+class TestAdaptiveRunsEmitEveryLifecycleEvent:
+    """Adaptive runs go through the simulator, so hooks see the same
+    lifecycle as on oblivious runs: run start (reservoir sampling, run
+    counters, queue depth) and withheld slots."""
+
+    def test_run_start_reaches_the_hooks(self):
+        from repro.core.sifting_conciliator import SiftingConciliator
+        from repro.obs.metrics import MetricsHook, MetricsRegistry
+        from repro.obs.tracing import TraceRecorder as EventRecorder
+
+        n = 16
+        recorder = EventRecorder(pid_reservoir=2)
+        registry = MetricsRegistry()
+        run_adaptive_programs(
+            [SiftingConciliator(n).program] * n,
+            make_adaptive("random-adaptive", 3),
+            SeedTree(4),
+            inputs=list(range(n)),
+            hooks=[recorder, MetricsHook(registry, queue_depth_every=1)],
+        )
+        assert recorder.sampled_pids is not None
+        assert len(recorder.sampled_pids) == 2
+        assert {event.pid for event in recorder.events
+                if event.pid is not None} <= recorder.sampled_pids
+        assert registry.counter_value("run.count") == 1
+        depth = registry.histogram_for("sched.queue_depth")
+        assert depth is not None and depth.count > 0
+
+    def test_withheld_slots_reach_the_hooks(self):
+        from repro.core.sifting_conciliator import SiftingConciliator
+        from repro.obs.metrics import MetricsHook, MetricsRegistry
+
+        n = 8
+        registry = MetricsRegistry()
+        plan = FaultPlan(stalls=(StallFault(pid=3, start_step=2, duration=20),))
+        result = run_adaptive_programs(
+            [SiftingConciliator(n).program] * n,
+            make_adaptive("random-adaptive", 3),
+            SeedTree(4),
+            inputs=list(range(n)),
+            hooks=[plan.injector(), MetricsHook(registry)],
+        )
+        assert result.completed
+        assert registry.counter_value("sim.stalled_slots") >= 1
+
+
+#: Every adaptive family, plus the late and noisy rungs wrapping
+#: ``pending-reads``.
+_PINNED_FAMILIES = ADAPTIVE_FAMILIES + (LATE, NOISY)
+
+#: Digests of adaptive runs taken from the hand-written adaptive step
+#: loop that preceded the simulator-driven one.  A run that starves under
+#: the stall pins its diagnostic state instead of its outputs.
+_PINNED_DIGESTS = {
+    ("pending-reads", "sifting"): "66b15a5a259d2371",
+    ("pending-reads", "snapshot"): "43a267dc6cfaa6c3",
+    ("pending-writes", "sifting"): "86828bcef7109577",
+    ("pending-writes", "snapshot"): "35967d80d6e6a293",
+    ("longest-first", "sifting"): "6bcf89b4445e5a75",
+    ("longest-first", "snapshot"): "0c56c15a0e6168a5",
+    ("shortest-first", "sifting"): "d49edcbe16b7ce44",
+    ("shortest-first", "snapshot"): "d49edcbe16b7ce44",
+    ("random-adaptive", "sifting"): "93550505df53ad19",
+    ("random-adaptive", "snapshot"): "48be5579dde3a4c1",
+    ("sift-killer", "sifting"): "71232a2cacd48498",
+    ("sift-killer", "snapshot"): "0c56c15a0e6168a5",
+    ("late", "sifting"): "76e227175f783794",
+    ("late", "snapshot"): "d0fe94afe61dafb1",
+    ("noisy", "sifting"): "9dc1ca57e7565c23",
+    ("noisy", "snapshot"): "d980aafcc5e00296",
+}
+
+
+def _adaptive_run_digest(family, algorithm):
+    """Digest outputs, step counts, crashes and the raw trace of one run."""
+    from repro.core.sifting_conciliator import SiftingConciliator
+    from repro.core.snapshot_conciliator import SnapshotConciliator
+
+    n = 8
+    conciliator = {
+        "sifting": SiftingConciliator, "snapshot": SnapshotConciliator,
+    }[algorithm](n)
+    if family in (LATE, NOISY):
+        adversary = make_adversary(family, inner="pending-reads", seed=5)
+    else:
+        adversary = make_adaptive(family, seed=5)
+    plan = FaultPlan(
+        crashes=(CrashFault(pid=2, after_steps=4),),
+        stalls=(StallFault(pid=6, start_step=10, duration=30),),
+    )
+    try:
+        result = run_adaptive_programs(
+            [conciliator.program] * n,
+            adversary,
+            SeedTree(11),
+            inputs=list(range(n)),
+            record_trace=True,
+            hooks=[plan.injector()],
+        )
+    except ScheduleExhaustedError as error:
+        parts = ("starved", error.unfinished_pids,
+                 sorted(error.steps_by_pid.items()))
+    else:
+        parts = (
+            sorted(result.outputs.items()),
+            sorted(result.steps_by_pid.items()),
+            sorted(result.crashed),
+            [
+                tuple(repr(getattr(event, field)) for field in (
+                    "step", "pid", "kind", "obj_name", "value", "result",
+                ))
+                for event in result.trace.events
+            ],
+        )
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("algorithm", ["sifting", "snapshot"])
+@pytest.mark.parametrize("family", _PINNED_FAMILIES)
+def test_adaptive_runs_match_the_pinned_digests(family, algorithm):
+    assert _adaptive_run_digest(family, algorithm) == \
+        _PINNED_DIGESTS[family, algorithm]
+
+
+_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+_STEP_LOOP_CALL = re.compile(r"\.complete_step\(|\.obj\.apply\(")
+
+
+def test_only_the_simulator_has_a_step_loop():
+    """Applying an operation and resuming its process happen in
+    ``Simulator.run`` only; every other runner drives the simulator."""
+    allowed = _SRC / "runtime" / "simulator.py"
+    offenders = [
+        f"{path.relative_to(_SRC)}:{number}"
+        for path in sorted(_SRC.rglob("*.py")) if path != allowed
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _STEP_LOOP_CALL.search(line)
+    ]
+    assert offenders == [], (
+        "drive repro.runtime.simulator.Simulator instead: "
+        + ", ".join(offenders)
+    )
